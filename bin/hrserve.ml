@@ -4,7 +4,7 @@
            [--workers N] [--deadline-ms MS] [--solver NAME]...
            [--max-queue N] [--max-batch N] [--seed S] [--summary FILE]
            [--cache-dir DIR] [--max-table-mb MB] [--max-lru-mb MB]
-           [--oracle dense|sparse|auto] [--no-prefetch] [--no-timing]
+           [--oracle dense|sparse|auto] [--no-timing]
 
    Two front-ends over the same JSON-lines protocol (docs/serving.md):
 
@@ -20,18 +20,17 @@
    - --listen unix:PATH or tcp:HOST:PORT: a long-lived concurrent
      socket server (lib/serve).  Many clients multiplex onto one pool
      and one shared LRU oracle cache; past --max-queue queued requests
-     admission sheds load with structured `overloaded` errors; idle
-     workers prewarm likely-next oracles from request history.  On
+     admission sheds load with structured `overloaded` errors.  On
      SIGINT/SIGTERM the server drains in-flight work and writes a
      `hyperreconf.serve/1` summary (latency percentiles, cache
      hit-rates) to --summary.
 
-   Malformed lines and failing solves produce structured error results
-   — the process never dies on a bad request.  Oracle reuse is
-   two-level: the in-process build cache (byte-budgeted LRU under
-   --max-lru-mb) shares problems across batches and clients, and with
-   --cache-dir the dense tables also persist on disk across restarts
-   (docs/caching.md). *)
+   Malformed lines, lines longer than Protocol.max_line_bytes (16 MiB)
+   and failing solves produce structured error results — the process
+   never dies on a bad request.  Oracle reuse is two-level: the
+   in-process build cache (byte-budgeted LRU under --max-lru-mb) shares
+   problems across batches and clients, and with --cache-dir the dense
+   tables also persist on disk across restarts (docs/caching.md). *)
 
 open Cmdliner
 open Hr_core
@@ -113,16 +112,15 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
             | [] -> assert false (* one response per request, in order *)))
       (List.rev pending)
   in
+  let reader = Protocol.reader stdin in
   let rec serve pending npending k =
-    match input_line stdin with
-    | exception End_of_file -> if pending <> [] then flush_batch pending
-    | line when String.trim line = "" -> serve pending npending k
-    | line ->
-        let pending =
-          Protocol.parse_line ?max_table_bytes ?cache_dir ~oracle
-            ~fallback_id:(Printf.sprintf "#%d" k) line
-          :: pending
-        in
+    match
+      Protocol.next ?max_table_bytes ?cache_dir ~oracle
+        ~fallback_id:(Printf.sprintf "#%d" k) reader
+    with
+    | None -> if pending <> [] then flush_batch pending
+    | Some parsed ->
+        let pending = parsed :: pending in
         if npending + 1 >= max_queue then begin
           flush_batch pending;
           serve [] 0 (k + 1)
@@ -188,11 +186,10 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
 
 let run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
     ~seed ~summary_file ~cache_dir ~max_table_bytes ~max_lru_bytes ~oracle
-    ~prefetch ~timing =
+    ~timing =
   let cfg =
     Server.config ?workers ?deadline_ms ~max_queue ?max_batch ~seed ~solvers
-      ?max_lru_bytes ?max_table_bytes ?cache_dir ~oracle ~prefetch ~timing
-      listen
+      ?max_lru_bytes ?max_table_bytes ?cache_dir ~oracle ~timing listen
   in
   Printf.eprintf "hrserve: listening on %s (max queue %d)\n%!"
     (Server.listen_to_string listen) max_queue;
@@ -220,8 +217,7 @@ let run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
 (* ------------------------------------------------------------------ *)
 
 let run stdio listen workers deadline_ms solver_names max_queue max_batch seed
-    summary_file cache_dir max_table_mb max_lru_mb oracle_policy no_prefetch
-    no_timing =
+    summary_file cache_dir max_table_mb max_lru_mb oracle_policy no_timing =
   if max_queue < 1 then failwith "--max-queue must be >= 1";
   let mib what = Option.map (fun s -> Hr_util.Cli.positive_exn ~what s * 1024 * 1024) in
   let max_table_bytes = mib "--max-table-mb" max_table_mb in
@@ -244,7 +240,7 @@ let run stdio listen workers deadline_ms solver_names max_queue max_batch seed
       in
       run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
         ~seed ~summary_file ~cache_dir ~max_table_bytes ~max_lru_bytes ~oracle
-        ~prefetch:(not no_prefetch) ~timing
+        ~timing
 
 let stdio =
   Arg.(
@@ -366,14 +362,6 @@ let oracle_policy =
            — linear memory, never densified, bypasses the table cache), or \
            $(b,auto) (dense while it fits the byte budget; the default).")
 
-let no_prefetch =
-  Arg.(
-    value & flag
-    & info [ "no-prefetch" ]
-        ~doc:
-          "Socket mode: disable idle-worker prewarming of likely-next oracles \
-           predicted from recent request history.")
-
 let no_timing =
   Arg.(
     value & flag
@@ -388,7 +376,7 @@ let cmd =
     Term.(
       const run $ stdio $ listen $ workers $ deadline_ms $ solver_names
       $ max_queue $ max_batch $ seed $ summary_file $ cache_dir $ max_table_mb
-      $ max_lru_mb $ oracle_policy $ no_prefetch $ no_timing)
+      $ max_lru_mb $ oracle_policy $ no_timing)
 
 let () =
   match Cmd.eval' ~catch:false cmd with

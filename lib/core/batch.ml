@@ -50,7 +50,6 @@ type node = {
   cost_bytes : int;
   mutable prev : node option;  (* towards MRU *)
   mutable next : node option;  (* towards LRU *)
-  mutable prefetched : bool;
 }
 
 type build_cache = {
@@ -63,8 +62,6 @@ type build_cache = {
   shared : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
-  prefetch_builds : int Atomic.t;
-  prefetch_hits : int Atomic.t;
 }
 
 type build_cache_stats = {
@@ -74,8 +71,6 @@ type build_cache_stats = {
   hits : int;
   misses : int;
   evictions : int;
-  prefetch_builds : int;
-  prefetch_hits : int;
 }
 
 let build_cache ?max_bytes () =
@@ -89,8 +84,6 @@ let build_cache ?max_bytes () =
     shared = Atomic.make 0;
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
-    prefetch_builds = Atomic.make 0;
-    prefetch_hits = Atomic.make 0;
   }
 
 (* A problem's charge against the byte budget: its dense-table (or
@@ -137,19 +130,13 @@ let enforce_budget cache ~keep =
       in
       go ()
 
-(* Shared hit bookkeeping: recency bump + counters.  The first hit on a
-   prefetched entry counts once towards [prefetch_hits] — the measure of
-   prewarming that actually paid off. *)
+(* Shared hit bookkeeping: recency bump + hit counter. *)
 let touch cache node =
   unlink cache node;
   push_front cache node;
-  Atomic.incr cache.shared;
-  if node.prefetched then begin
-    node.prefetched <- false;
-    Atomic.incr cache.prefetch_hits
-  end
+  Atomic.incr cache.shared
 
-let insert cache ~prefetched key problem =
+let insert cache key problem =
   match Hashtbl.find_opt cache.table key with
   | Some winner ->
       (* Raced: another builder inserted first; adopt its problem. *)
@@ -163,7 +150,6 @@ let insert cache ~prefetched key problem =
           cost_bytes = problem_cost_bytes problem;
           prev = None;
           next = None;
-          prefetched;
         }
       in
       Hashtbl.add cache.table key node;
@@ -197,8 +183,6 @@ let build_cache_stats cache =
     hits = Atomic.get cache.shared;
     misses = Atomic.get cache.misses;
     evictions = Atomic.get cache.evictions;
-    prefetch_builds = Atomic.get cache.prefetch_builds;
-    prefetch_hits = Atomic.get cache.prefetch_hits;
   }
 
 let build_cache_stats_to_json (s : build_cache_stats) =
@@ -215,8 +199,6 @@ let build_cache_stats_to_json (s : build_cache_stats) =
         if total = 0 then Telemetry.Null
         else Telemetry.Float (float s.hits /. float total) );
       ("evictions", Telemetry.Int s.evictions);
-      ("prefetch_builds", Telemetry.Int s.prefetch_builds);
-      ("prefetch_hits", Telemetry.Int s.prefetch_hits);
     ]
 
 let build_problem cache req =
@@ -233,24 +215,9 @@ let build_problem cache req =
           Atomic.incr cache.misses;
           let problem = req.build () in
           Mutex.lock cache.mu;
-          let problem = insert cache ~prefetched:false key problem in
+          let problem = insert cache key problem in
           Mutex.unlock cache.mu;
           problem)
-
-let prefetch cache ~key build =
-  if build_cache_mem cache key then false
-  else begin
-    (* Build outside the lock, like build_problem: a concurrent request
-       for the same key may win the insert race, in which case this
-       prewarm was redundant but harmless. *)
-    let problem = build () in
-    Mutex.lock cache.mu;
-    let fresh = not (Hashtbl.mem cache.table key) in
-    ignore (insert cache ~prefetched:true key problem);
-    Mutex.unlock cache.mu;
-    if fresh then Atomic.incr cache.prefetch_builds;
-    fresh
-  end
 
 (* Fair-share carving: a request starting with [left] requests still
    unstarted and [workers] domains serving them gets [workers/left] of

@@ -13,7 +13,7 @@ let single ~v ~n ~step_cost =
       best_breaks := breaks
     end
   done;
-  { St_opt.cost = !best_cost; breaks = !best_breaks }
+  { St_opt.cost = !best_cost; breaks = !best_breaks; cut_off = false }
 
 (* The enumeration-space size in bits, machine-class aware: the
    all-task class admits only uniform-column matrices, so one shared

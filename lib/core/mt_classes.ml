@@ -1,4 +1,4 @@
-type outcome = { cost : int; bp : Breakpoints.t; breaks : int list }
+type outcome = { cost : int; bp : Breakpoints.t; breaks : int list; cut_off : bool }
 
 let combined_oracle ?(params = Sync_cost.default_params) (oracle : Interval_cost.t) =
   let m = oracle.Interval_cost.m and n = oracle.Interval_cost.n in
@@ -16,9 +16,9 @@ let combined_oracle ?(params = Sync_cost.default_params) (oracle : Interval_cost
   in
   Interval_cost.make ~m:1 ~n ~v:[| v |] ~step_cost
 
-let solve_all_task ?(params = Sync_cost.default_params) (oracle : Interval_cost.t) =
+let solve_all_task ?(params = Sync_cost.default_params) ?budget (oracle : Interval_cost.t) =
   let combined = combined_oracle ~params oracle in
-  let r = St_opt.solve_oracle combined ~task:0 in
+  let r = St_opt.solve_oracle ?budget combined ~task:0 in
   let bp =
     Breakpoints.of_rows ~m:oracle.Interval_cost.m ~n:oracle.Interval_cost.n
       (Array.make oracle.Interval_cost.m r.St_opt.breaks)
@@ -26,7 +26,7 @@ let solve_all_task ?(params = Sync_cost.default_params) (oracle : Interval_cost.
   (* The single-task objective counts w once per break; the multi-task
      evaluation adds params.w once on top, so align by re-evaluating. *)
   let cost = Sync_cost.eval ~params oracle bp in
-  { cost; bp; breaks = r.St_opt.breaks }
+  { cost; bp; breaks = r.St_opt.breaks; cut_off = r.St_opt.cut_off }
 
 let advantage ?params ~rng oracle =
   let all_task = solve_all_task ?params oracle in

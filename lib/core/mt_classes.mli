@@ -30,6 +30,7 @@ type outcome = {
   cost : int;
   bp : Breakpoints.t;  (** uniform-column matrix *)
   breaks : int list;  (** the shared hyperreconfiguration steps *)
+  cut_off : bool;  (** the budget ran out ({!St_opt.solve_oracle}) *)
 }
 
 (** [combined_oracle ?params oracle] is the single-task view of the
@@ -37,10 +38,13 @@ type outcome = {
     [step_cost lo hi = ] the combination of all tasks' block costs. *)
 val combined_oracle : ?params:Sync_cost.params -> Interval_cost.t -> Interval_cost.t
 
-(** [solve_all_task ?params oracle] — the exact optimum over
-    uniform-column matrices.  [Sync_cost.eval ?params oracle
-    outcome.bp = outcome.cost] holds (checked by the tests). *)
-val solve_all_task : ?params:Sync_cost.params -> Interval_cost.t -> outcome
+(** [solve_all_task ?params ?budget oracle] — the exact optimum over
+    uniform-column matrices, or, when [budget] runs out, the cut-off
+    plan of {!St_opt.solve_oracle}.  [Sync_cost.eval ?params oracle
+    outcome.bp = outcome.cost] holds either way (checked by the
+    tests). *)
+val solve_all_task :
+  ?params:Sync_cost.params -> ?budget:Hr_util.Budget.t -> Interval_cost.t -> outcome
 
 (** [advantage ?params ~rng oracle] returns
     [(all_task_cost, partial_cost)]: the exact all-task optimum versus

@@ -75,10 +75,11 @@ let st_dp =
   Solver.make ~name:"st-dp" ~kind:Solver.Exact
     ~doc:"single-task O(n^2) DP of [9] (exact)"
     ~handles:(fun p -> sized p && Problem.m p = 1 && p.Problem.params.Sync_cost.pub = 0)
-    (fun ~budget:_ ~rng:_ p ->
-      let r = St_opt.solve_oracle p.Problem.oracle ~task:0 in
+    (fun ~budget ~rng:_ p ->
+      let r = St_opt.solve_oracle ~budget p.Problem.oracle ~task:0 in
       let bp = Breakpoints.of_rows ~m:1 ~n:(Problem.n p) [| r.St_opt.breaks |] in
-      Solution.make ~solver:"st-dp" ~exact:true
+      Solution.make ~solver:"st-dp" ~exact:(not r.St_opt.cut_off)
+        ~cut_off:r.St_opt.cut_off
         ~stats:[ ("blocks", string_of_int (List.length r.St_opt.breaks)) ]
         ~cost:r.St_opt.cost bp)
 
@@ -86,10 +87,13 @@ let all_task =
   Solver.make ~name:"all-task" ~kind:Solver.Exact
     ~doc:"combined single-task DP; exact for the all-task machine class"
     ~handles:(fun p -> sized p && fully p)
-    (fun ~budget:_ ~rng:_ p ->
-      let r = Mt_classes.solve_all_task ~params:p.Problem.params p.Problem.oracle in
+    (fun ~budget ~rng:_ p ->
+      let r =
+        Mt_classes.solve_all_task ~params:p.Problem.params ~budget p.Problem.oracle
+      in
       Solution.make ~solver:"all-task"
-        ~exact:(p.Problem.machine_class = Problem.All_task)
+        ~exact:(p.Problem.machine_class = Problem.All_task && not r.Mt_classes.cut_off)
+        ~cut_off:r.Mt_classes.cut_off
         ~stats:
           [ ("shared-breaks", string_of_int (List.length r.Mt_classes.breaks)) ]
         ~cost:r.Mt_classes.cost r.Mt_classes.bp)

@@ -1,6 +1,8 @@
-type result = { cost : int; breaks : int list }
+module Budget = Hr_util.Budget
 
-let solve ~v ~n ~step_cost =
+type result = { cost : int; breaks : int list; cut_off : bool }
+
+let dp ~budget ~v ~n ~step_cost =
   if n < 1 then invalid_arg "St_opt.solve: n must be >= 1";
   if v < 0 then invalid_arg "St_opt.solve: negative v";
   (* f.(j) = optimal cost of covering steps 0..j-1; choice.(j) = start of
@@ -8,17 +10,37 @@ let solve ~v ~n ~step_cost =
   let f = Array.make (n + 1) max_int in
   let choice = Array.make (n + 1) 0 in
   f.(0) <- 0;
-  for j = 0 to n - 1 do
-    for i = 0 to j do
+  (* Row j: the best last block i..j over the prefixes i = 0..last. *)
+  let relax j last =
+    for i = 0 to last do
       let c = f.(i) + v + (step_cost i j * (j - i + 1)) in
       if c < f.(j + 1) then begin
         f.(j + 1) <- c;
         choice.(j + 1) <- i
       end
     done
-  done;
+  in
+  (* The budget is polled once per row.  Out of time before row j, the
+     optimal prefixes f.(0..j) are each closed by one block up to step
+     n-1 and the cheapest is kept: never worse than the one-block plan
+     (i = 0) or the longest prefix (i = j).  At the last row that
+     closing row is the DP's own, so the answer stays exact. *)
+  let rec rows j =
+    if j = n then false
+    else if j < n - 1 && Budget.exhausted budget then begin
+      relax (n - 1) j;
+      true
+    end
+    else begin
+      relax j j;
+      rows (j + 1)
+    end
+  in
+  let cut_off = rows 0 in
   let rec collect j acc = if j = 0 then acc else collect choice.(j) (choice.(j) :: acc) in
-  { cost = f.(n); breaks = collect n [] }
+  { cost = f.(n); breaks = collect n []; cut_off }
+
+let solve ~v ~n ~step_cost = dp ~budget:Budget.unlimited ~v ~n ~step_cost
 
 let blocks_of_breaks ~n breaks =
   match breaks with
@@ -86,7 +108,7 @@ let solve_bounded ~v ~n ~step_cost ~max_blocks =
          non-increasing in k, the stored choice at level k is valid. *)
       collect (k - 1) choice.(k).(j) (choice.(k).(j) :: acc)
   in
-  { cost = f.(kmax).(n); breaks = collect kmax n [] }
+  { cost = f.(kmax).(n); breaks = collect kmax n []; cut_off = false }
 
 let frontier ~v ~n ~step_cost =
   let unconstrained = solve ~v ~n ~step_cost in
@@ -100,6 +122,6 @@ let frontier ~v ~n ~step_cost =
   in
   go 1 max_int []
 
-let solve_oracle (oracle : Interval_cost.t) ~task =
-  solve ~v:oracle.Interval_cost.v.(task) ~n:oracle.Interval_cost.n
+let solve_oracle ?(budget = Budget.unlimited) (oracle : Interval_cost.t) ~task =
+  dp ~budget ~v:oracle.Interval_cost.v.(task) ~n:oracle.Interval_cost.n
     ~step_cost:(fun lo hi -> oracle.Interval_cost.step_cost task lo hi)

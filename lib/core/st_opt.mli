@@ -22,6 +22,9 @@
 type result = {
   cost : int;  (** optimal total (hyper)reconfiguration time *)
   breaks : int list;  (** hyperreconfiguration steps, ascending, head = 0 *)
+  cut_off : bool;
+      (** the budget ran out: [cost] is that of an admissible plan, not
+          proven optimal *)
 }
 
 (** [solve ~v ~n ~step_cost] runs the DP on an abstract interval cost
@@ -34,10 +37,16 @@ val solve : v:int -> n:int -> step_cost:(int -> int -> int) -> result
     block order. *)
 val solve_trace : ?v:int -> Trace.t -> result * Hypercontext.t list
 
-(** [solve_oracle oracle ~task] runs on one task of a multi-task
-    oracle (useful for seeding the multi-task optimizers with per-task
-    optima). *)
-val solve_oracle : Interval_cost.t -> task:int -> result
+(** [solve_oracle ?budget oracle ~task] runs on one task of a
+    multi-task oracle (useful for seeding the multi-task optimizers
+    with per-task optima).  [budget] (default unlimited) is polled once
+    per DP row.  When it runs out before row [j] (of [n]), the optimal
+    covers of every prefix [0..i-1], [i <= j], are each closed by one
+    block [i..n-1] and the cheapest is returned with [cut_off = true]:
+    never worse than the one-block plan.  The overrun past the budget
+    is one row of oracle queries.  Without a budget the result is that
+    of {!solve}. *)
+val solve_oracle : ?budget:Hr_util.Budget.t -> Interval_cost.t -> task:int -> result
 
 (** [plan_of_breaks trace breaks] materializes the union hypercontexts
     for a given breakpoint list. *)

@@ -33,6 +33,13 @@ let locked t f =
 let admit t = locked t (fun () -> t.admitted <- t.admitted + 1)
 let shed t = locked t (fun () -> t.shed <- t.shed + 1)
 
+(* A line that never became a request: answered with an error, so it
+   counts as completed, but it has no admission time to measure from. *)
+let bad_request t =
+  locked t (fun () ->
+      t.completed <- t.completed + 1;
+      t.errors <- t.errors + 1)
+
 let complete t ~latency_ms (r : Batch.response) =
   locked t (fun () ->
       t.latencies <- latency_ms :: t.latencies;

@@ -19,6 +19,11 @@ val shed : t -> unit
     [r]'s outcome feeds the error / cut-off counters. *)
 val complete : t -> latency_ms:float -> Hr_core.Batch.response -> unit
 
+(** [bad_request t] records a line answered with a [bad request]
+    error before admission: it counts in [completed] and [errors] but
+    adds no latency sample. *)
+val bad_request : t -> unit
+
 (** [latencies t] — the recorded samples in arrival order. *)
 val latencies : t -> float array
 

@@ -29,6 +29,39 @@ val parse_line :
   string ->
   parsed
 
+(** The cap on one request line, in bytes (16 MiB): ten times the
+    longest line the repository generates, a [hrcompile --steps 50000
+    --tasks 4] case of about 1.4 MB. *)
+val max_line_bytes : int
+
+(** A buffered line reader over one input channel (a socket or stdin).
+    Memory stays bounded by the line cap whatever the peer sends. *)
+type reader
+
+val reader : in_channel -> reader
+
+(** [Too_long]: the line passed the cap; its rest has been read and
+    discarded, so the next read starts on the following line. *)
+type line = Line of string | Too_long | Eof
+
+(** [read_line r] reads one line without its newline, or [Too_long]
+    past {!max_line_bytes}.  Like [input_line], a last line without a
+    newline is returned; raises what [input] raises. *)
+val read_line : reader -> line
+
+(** [next ... r ~fallback_id] reads up to the next non-blank line and
+    parses it with {!parse_line}; [None] at end of input.  A line past
+    {!max_line_bytes} is the [Malformed] request
+    ["line exceeds N bytes"] under [fallback_id].  Both transports read
+    through this one function. *)
+val next :
+  ?max_table_bytes:int ->
+  ?cache_dir:string ->
+  ?oracle:Hr_core.Interval_cost.policy ->
+  reader ->
+  fallback_id:string ->
+  parsed option
+
 (** [response_line ?timing r] is the one-line [hyperreconf.result/1]
     rendering (trailing newline included).  [timing:false] zeroes the
     wall-clock fields ({!Hr_core.Batch.response_to_json}). *)

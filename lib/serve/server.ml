@@ -44,15 +44,14 @@ type config = {
   max_table_bytes : int option;
   cache_dir : string option;
   oracle : Interval_cost.policy option;
-  prefetch : bool;
   timing : bool;
   before_batch : (unit -> unit) option;
 }
 
 let config ?workers ?deadline_ms ?(max_queue = 64) ?max_batch
     ?(seed = Solver.default_seed) ?(solvers = Solver_registry.applicable)
-    ?max_lru_bytes ?max_table_bytes ?cache_dir ?oracle ?(prefetch = true)
-    ?(timing = true) ?before_batch listen =
+    ?max_lru_bytes ?max_table_bytes ?cache_dir ?oracle ?(timing = true)
+    ?before_batch listen =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
   let max_batch = max 1 (Option.value max_batch ~default:max_queue) in
   {
@@ -67,7 +66,6 @@ let config ?workers ?deadline_ms ?(max_queue = 64) ?max_batch
     max_table_bytes;
     cache_dir;
     oracle;
-    prefetch;
     timing;
     before_batch;
   }
@@ -96,8 +94,9 @@ type t = {
   pool : Pool.t;
   cache : Batch.build_cache;
   metrics : Metrics.t;
-  history : History.t;
   listen_fd : Unix.file_descr;
+  wake_r : Unix.file_descr;  (* readable once [stop] has begun *)
+  wake_w : Unix.file_descr;
   started_ms : float;
   mu : Mutex.t;
   nonempty : Condition.t;
@@ -108,7 +107,6 @@ type t = {
   mutable conn_threads : Thread.t list;
   mutable accept_thread : Thread.t option;
   mutable dispatch_thread : Thread.t option;
-  mutable prefetch_thread : Thread.t option;
   mutable solve_ms : float;  (* summed batch wall clocks *)
   mutable batches : int;
   mutable stopped_summary : Telemetry.json option;
@@ -214,38 +212,6 @@ let dispatch_loop t =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Prefetcher: while the admission queue is idle, prewarm the oracle
-   the history model rates most likely next.  Keys whose builds raise
-   are remembered and never retried — a poisoned request must not turn
-   the idle loop into a crash loop. *)
-
-let prefetch_loop t =
-  let failed = Hashtbl.create 8 in
-  let resident key =
-    Hashtbl.mem failed key || Batch.build_cache_mem t.cache key
-  in
-  let rec go () =
-    if t.stopping then ()
-    else begin
-      Thread.delay 0.02;
-      let idle =
-        Mutex.lock t.mu;
-        let i = Queue.is_empty t.queue in
-        Mutex.unlock t.mu;
-        i
-      in
-      (if idle && not t.stopping then
-         match History.predict t.history ~resident ~limit:1 with
-         | [] -> Thread.delay 0.05
-         | (key, build) :: _ -> (
-             try ignore (Batch.prefetch t.cache ~key build)
-             with _ -> Hashtbl.replace failed key ()));
-      go ()
-    end
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
 (* Connections.                                                        *)
 
 let send_response t (c : conn) r =
@@ -266,7 +232,7 @@ let handle_conn t fd =
       inflight = 0;
     }
   in
-  let ic = Unix.in_channel_of_descr fd in
+  let reader = Protocol.reader (Unix.in_channel_of_descr fd) in
   let reply r =
     send_response t c r;
     Mutex.lock c.cmu;
@@ -288,9 +254,6 @@ let handle_conn t fd =
         c.inflight <- c.inflight + 1;
         Mutex.unlock c.cmu;
         Queue.push { preq = req; admitted_ms = now; reply } t.queue;
-        (match req.Batch.key with
-        | Some key -> History.observe t.history ~key req.Batch.build
-        | None -> ());
         Condition.signal t.nonempty;
         Ok ()
       end
@@ -305,19 +268,20 @@ let handle_conn t fd =
         send_response t c (Batch.error_response ~id:req.Batch.id msg)
   in
   let rec loop k =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop k
-    | line ->
-        (match
-           Protocol.parse_line ?max_table_bytes:t.cfg.max_table_bytes
-             ?cache_dir:t.cfg.cache_dir ?oracle:t.cfg.oracle
-             ~fallback_id:(Printf.sprintf "#%d" k)
-             line
-         with
-        | Protocol.Malformed { id; error } ->
-            send_response t c (Batch.error_response ~id ("bad request: " ^ error))
-        | Protocol.Request req -> admit req);
+    match
+      Protocol.next ?max_table_bytes:t.cfg.max_table_bytes
+        ?cache_dir:t.cfg.cache_dir ?oracle:t.cfg.oracle
+        ~fallback_id:(Printf.sprintf "#%d" k)
+        reader
+    with
+    | exception Sys_error _ -> ()
+    | None -> ()
+    | Some (Protocol.Malformed { id; error }) ->
+        Metrics.bad_request t.metrics;
+        send_response t c (Batch.error_response ~id ("bad request: " ^ error));
+        loop (k + 1)
+    | Some (Protocol.Request req) ->
+        admit req;
         loop (k + 1)
   in
   loop 0;
@@ -333,35 +297,44 @@ let handle_conn t fd =
   t.open_fds <- List.filter (fun f -> f != fd) t.open_fds;
   Mutex.unlock t.mu
 
-(* Accept via select with a short tick so [stop] can interrupt the loop
-   portably (closing an fd does not wake a blocked accept on Linux). *)
+(* One byte on a pipe wakes a blocked [select]: closing an fd does not
+   wake a blocked accept on Linux, and a pipe works on every Unix.
+   Writes never block (a full pipe is already readable). *)
+let wake fd =
+  try ignore (Unix.single_write_substring fd "x" 0 1) with Unix.Unix_error _ -> ()
+
+let wake_pipe () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock w;
+  (r, w)
+
+(* Accept until the wake pipe turns readable ([stop] has begun).  The
+   select has no timeout: an idle server sleeps. *)
 let accept_loop t =
   let rec go () =
-    if t.stopping then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.1 with
-      | [], _, _ -> go ()
-      | _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | fd, _ ->
-              Mutex.lock t.mu;
-              if t.stopping then begin
-                Mutex.unlock t.mu;
-                try Unix.close fd with Unix.Unix_error _ -> ()
-              end
-              else begin
-                t.connections <- t.connections + 1;
-                t.open_fds <- fd :: t.open_fds;
-                let th = Thread.create (fun () -> handle_conn t fd) () in
-                t.conn_threads <- th :: t.conn_threads;
-                Mutex.unlock t.mu
-              end;
-              go ()
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-              go ()
-          | exception Unix.Unix_error _ -> if t.stopping then () else go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> ()
+    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.) with
+    | r, _, _ when List.memq t.wake_r r -> ()
+    | [], _, _ -> go ()
+    | _ -> (
+        match Unix.accept ~cloexec:true t.listen_fd with
+        | fd, _ ->
+            Mutex.lock t.mu;
+            if t.stopping then begin
+              Mutex.unlock t.mu;
+              try Unix.close fd with Unix.Unix_error _ -> ()
+            end
+            else begin
+              t.connections <- t.connections + 1;
+              t.open_fds <- fd :: t.open_fds;
+              let th = Thread.create (fun () -> handle_conn t fd) () in
+              t.conn_threads <- th :: t.conn_threads;
+              Mutex.unlock t.mu
+            end;
+            go ()
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> go ()
+        | exception Unix.Unix_error _ -> if t.stopping then () else go ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()
   in
   go ()
 
@@ -403,14 +376,16 @@ let start cfg =
      that write, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = bind_listen cfg.listen in
+  let wake_r, wake_w = wake_pipe () in
   let t =
     {
       cfg;
       pool = Pool.create ?workers:cfg.workers ();
       cache = Batch.build_cache ?max_bytes:cfg.max_lru_bytes ();
       metrics = Metrics.create ();
-      history = History.create ();
       listen_fd;
+      wake_r;
+      wake_w;
       started_ms = Budget.now_ms ();
       mu = Mutex.create ();
       nonempty = Condition.create ();
@@ -421,7 +396,6 @@ let start cfg =
       conn_threads = [];
       accept_thread = None;
       dispatch_thread = None;
-      prefetch_thread = None;
       solve_ms = 0.;
       batches = 0;
       stopped_summary = None;
@@ -429,8 +403,6 @@ let start cfg =
   in
   t.dispatch_thread <- Some (Thread.create (fun () -> dispatch_loop t) ());
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-  if cfg.prefetch then
-    t.prefetch_thread <- Some (Thread.create (fun () -> prefetch_loop t) ());
   t
 
 let stop t =
@@ -444,8 +416,11 @@ let stop t =
   in
   if not already then begin
     (* 1. Stop accepting. *)
+    wake t.wake_w;
     Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.listen_fd; t.wake_r; t.wake_w ];
     (match t.cfg.listen with
     | `Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | `Tcp _ -> ());
@@ -470,7 +445,6 @@ let stop t =
     List.iter Thread.join conn_threads;
     (* 3. Drain: the dispatcher exits once the queue is dry. *)
     Option.iter Thread.join t.dispatch_thread;
-    Option.iter Thread.join t.prefetch_thread;
     (* 4. Snapshot the summary BEFORE tearing the pool down — the
        workers count and cache statistics must describe the serving
        process, not its corpse. *)
@@ -478,24 +452,34 @@ let stop t =
     Pool.shutdown t.pool
   end
 
-let stop_requested = Atomic.make false
+(* [run]'s wake-up, written by [request_stop] from any thread or a
+   signal handler.  Process-wide, created once and never closed, so a
+   late [request_stop] can never write into a reused descriptor. *)
+let stop_r, stop_w =
+  let r, w = wake_pipe () in
+  Unix.set_nonblock r;
+  (r, w)
+
+let request_stop () = wake stop_w
 
 let run ?(handle_signals = true) cfg ~summary =
-  Atomic.set stop_requested false;
+  (* Forget requests left over from before this run. *)
+  (let b = Bytes.create 64 in
+   try while Unix.read stop_r b 0 64 > 0 do () done with Unix.Unix_error _ -> ());
   let previous =
     if handle_signals then
       List.map
-        (fun s ->
-          (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))))
+        (fun s -> (s, Sys.signal s (Sys.Signal_handle (fun _ -> request_stop ()))))
         [ Sys.sigint; Sys.sigterm ]
     else []
   in
   let t = start cfg in
-  while not (Atomic.get stop_requested) do
-    Thread.delay 0.05
-  done;
+  let rec wait () =
+    match Unix.select [ stop_r ] [] [] (-1.) with
+    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> wait ()
+    | _ -> ()
+  in
+  wait ();
   stop t;
   List.iter (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ()) previous;
   summary (summary_json t)
-
-let request_stop () = Atomic.set stop_requested true

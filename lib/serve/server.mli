@@ -4,8 +4,9 @@
     TCP socket: per-connection reader threads feed a bounded global
     admission queue; a single dispatcher micro-batches queued requests
     onto the persistent domain {!Hr_util.Pool} via {!Hr_core.Batch.run}
-    with a shared byte-budgeted LRU oracle cache; an idle prefetcher
-    prewarms the likely-next oracle from recent request history.
+    with a shared byte-budgeted LRU oracle cache.  Every wait blocks
+    (condition variables, and a self-pipe for shutdown), so an idle
+    server sleeps instead of polling.
 
     Overload is answered, never dropped: past [max_queue] queued
     requests, admission returns a structured [hyperreconf.result/1]
@@ -37,7 +38,6 @@ type config = {
   cache_dir : string option;  (** persistent on-disk table cache *)
   oracle : Hr_core.Interval_cost.policy option;
       (** oracle ladder rung for switch-model cases; None = Auto *)
-  prefetch : bool;  (** prewarm likely-next oracles when idle *)
   timing : bool;  (** false zeroes wall_ms in responses (determinism) *)
   before_batch : (unit -> unit) option;
       (** test hook, called by the dispatcher before each [Batch.run];
@@ -56,19 +56,18 @@ val config :
   ?max_table_bytes:int ->
   ?cache_dir:string ->
   ?oracle:Hr_core.Interval_cost.policy ->
-  ?prefetch:bool ->
   ?timing:bool ->
   ?before_batch:(unit -> unit) ->
   listen ->
   config
 (** Defaults: [max_queue = 64], [max_batch = max_queue],
     [seed = Solver.default_seed], [solvers = Solver_registry.applicable],
-    unbounded LRU, prefetch and timing on. *)
+    unbounded LRU, timing on. *)
 
 type t
 
-(** [start cfg] binds the listen address and launches the accept,
-    dispatcher and (optionally) prefetch threads.  Ignores [SIGPIPE].
+(** [start cfg] binds the listen address and launches the accept and
+    dispatcher threads.  Ignores [SIGPIPE].
     Raises [Failure] if the address cannot be bound (e.g. the Unix path
     exists and is not a socket). *)
 val start : config -> t
@@ -76,7 +75,8 @@ val start : config -> t
 (** The bound address — useful with [`Tcp (_, 0)] to learn the port. *)
 val address : t -> Unix.sockaddr
 
-(** [stop t] shuts down gracefully: stops accepting, forces EOF on
+(** [stop t] shuts down gracefully: wakes the accept loop through a
+    self-pipe and stops accepting, forces EOF on
     idle connections, waits for every connection to be answered and
     closed, drains the dispatcher, snapshots the summary, and only then
     shuts the pool down.  Idempotent. *)
@@ -91,9 +91,12 @@ val summary_json : t -> Hr_core.Telemetry.json
 
 (** [run cfg ~summary] starts a server and blocks until {!request_stop}
     or (by default) [SIGINT]/[SIGTERM]; then stops gracefully and hands
-    the final summary document to [summary]. *)
+    the final summary document to [summary].  The wait is a blocking
+    read of a process-wide pipe, not a poll.  A {!request_stop} made
+    before [run] starts is discarded. *)
 val run :
   ?handle_signals:bool -> config -> summary:(Hr_core.Telemetry.json -> unit) -> unit
 
-(** Ask a blocking {!run} to shut down (signal-handler safe). *)
+(** Ask a blocking {!run} to shut down: writes one byte to {!run}'s
+    pipe.  Safe from any thread and from a signal handler. *)
 val request_stop : unit -> unit

@@ -1,12 +1,12 @@
 (* lib/serve conformance: interleaved socket clients, deterministic
    load shedding, per-request deadlines, byte-parity with the stdio
-   pipeline, prefetch prediction, and the latency-summary guards. *)
+   pipeline, bounded request lines, shutdown with idle clients, and the
+   latency-summary guards. *)
 
 open Hr_core
 module Check = Hr_check
 module Server = Hr_serve.Server
 module Protocol = Hr_serve.Protocol
-module History = Hr_serve.History
 module Metrics = Hr_serve.Metrics
 
 let check = Alcotest.check
@@ -77,7 +77,7 @@ let test_interleaved_connections () =
   let path = sock_path () in
   let lines = corpus_lines () in
   let case i = List.nth lines (i mod List.length lines) in
-  with_server (Server.config ~timing:false ~prefetch:false (`Unix_path path))
+  with_server (Server.config ~timing:false (`Unix_path path))
     (fun t ->
       let a = connect path and b = connect path in
       send a (envelope ~id:"a-0" (case 0));
@@ -137,8 +137,7 @@ let test_load_shedding () =
   let lines = corpus_lines () in
   let case i = List.nth lines (i mod List.length lines) in
   with_server
-    (Server.config ~max_queue:1 ~timing:false ~prefetch:false
-       ~before_batch:hook (`Unix_path path))
+    (Server.config ~max_queue:1 ~timing:false ~before_batch:hook (`Unix_path path))
     (fun _t ->
       let c = connect path in
       send c (envelope ~id:"first" (case 0));
@@ -192,7 +191,7 @@ let test_per_request_deadline () =
     | None -> Alcotest.fail "no corpus case handled by mt-dp"
   in
   with_server
-    (Server.config ~timing:false ~prefetch:false
+    (Server.config ~timing:false
        ~solvers:(fun _ -> [ mt_dp ])
        (`Unix_path path))
     (fun _t ->
@@ -232,7 +231,7 @@ let test_socket_matches_stdio_bytes () =
          batch.Batch.responses)
   in
   let path = sock_path () in
-  with_server (Server.config ~timing:false ~prefetch:false (`Unix_path path))
+  with_server (Server.config ~timing:false (`Unix_path path))
     (fun _t ->
       let c = connect path in
       List.iter (send c) lines;
@@ -256,23 +255,144 @@ let test_listen_of_string () =
       | Ok _ -> Alcotest.failf "accepted bad address %S" s)
     [ "bogus"; "tcp:host"; "tcp:host:99999"; "tcp:host:nope"; "unix:" ]
 
-let test_history_predicts_successor () =
-  let h = History.create () in
-  let build () = failwith "never built" in
-  List.iter
-    (fun key -> History.observe h ~key build)
-    [ "a"; "b"; "a"; "b"; "a" ];
-  check Alcotest.int "observations counted" 5 (History.observed h);
-  (* last = "a", whose dominant successor is "b". *)
-  (match History.predict h ~resident:(fun _ -> false) ~limit:1 with
-  | [ (key, _) ] -> check Alcotest.string "successor of last wins" "b" key
-  | l -> Alcotest.failf "%d candidates for limit 1" (List.length l));
-  (* Resident keys are never proposed; ranking falls back to global
-     frequency. *)
-  let keys =
-    List.map fst (History.predict h ~resident:(fun k -> k = "b") ~limit:2)
+let summary_int t name =
+  match Server.summary_json t with
+  | Telemetry.Obj fields -> (
+      match List.assoc_opt name fields with
+      | Some (Telemetry.Int i) -> i
+      | _ -> Alcotest.failf "summary without %s" name)
+  | _ -> Alcotest.fail "summary is not an object"
+
+(* Hang catching, not a speed gate: fail if [cond] still does not hold
+   after [secs]. *)
+let wait_until ~secs what cond =
+  let give_up = Unix.gettimeofday () +. secs in
+  while (not (cond ())) && Unix.gettimeofday () < give_up do
+    Thread.delay 0.005
+  done;
+  if not (cond ()) then Alcotest.failf "%s: not reached after %.0f s" what secs
+
+let test_read_line_bounded () =
+  (* A line crossing the 64 KiB chunk boundary, lines at and just past
+     the cap, and a last line without newline. *)
+  let long = String.make 70_000 'a' in
+  let full = String.make Protocol.max_line_bytes 'c' in
+  let over = String.make (Protocol.max_line_bytes + 1) 'b' in
+  let input = String.concat "\n" [ "x"; long; over; ""; full; "tail" ] in
+  let tmp = Filename.temp_file "hrserve-lines" ".txt" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc input);
+  let got =
+    In_channel.with_open_bin tmp (fun ic ->
+        let r = Protocol.reader ic in
+        let rec go acc =
+          match Protocol.read_line r with
+          | Protocol.Eof -> List.rev acc
+          | Protocol.Too_long -> go ("<too long>" :: acc)
+          | Protocol.Line l -> go (l :: acc)
+        in
+        go [])
   in
-  check Alcotest.bool "resident key filtered" false (List.mem "b" keys)
+  Sys.remove tmp;
+  check
+    Alcotest.(list string)
+    "lines" [ "x"; long; "<too long>"; ""; full; "tail" ] got
+
+let test_over_long_line () =
+  (* One line past the cap is answered with a bad-request error under
+     its fallback id; the connection stays open for the next line. *)
+  let path = sock_path () in
+  let line = List.hd (corpus_lines ()) in
+  with_server (Server.config ~timing:false (`Unix_path path)) (fun t ->
+      let c = connect path in
+      send c (String.make (Protocol.max_line_bytes + 1) 'x');
+      send c line;
+      half_close c;
+      let bad = recv c in
+      let good = recv c in
+      close c;
+      check Alcotest.string "bad line keeps its fallback id" "#0" (response_id bad);
+      check Alcotest.bool "over-long line is an error" true
+        (response_field "error" bad
+        = Some
+            (Telemetry.String
+               (Printf.sprintf "bad request: line exceeds %d bytes"
+                  Protocol.max_line_bytes)));
+      check Alcotest.string "next line answered" "#1" (response_id good);
+      check Alcotest.bool "next line ok" true
+        (response_field "ok" good = Some (Telemetry.Bool true));
+      check Alcotest.int "one error" 1 (summary_int t "errors");
+      check Alcotest.int "both answered" 2 (summary_int t "completed"))
+
+let test_stop_with_idle_client () =
+  (* [stop] must return while a client holds an open, idle connection
+     and the accept loop sleeps, and still answer every admitted
+     request. *)
+  let path = sock_path () in
+  let gate = Atomic.make true in
+  let hook () =
+    while Atomic.get gate do
+      Thread.delay 0.001
+    done
+  in
+  let lines = corpus_lines () in
+  let case i = List.nth lines (i mod List.length lines) in
+  let t = Server.start (Server.config ~timing:false ~before_batch:hook (`Unix_path path)) in
+  let busy = connect path and idle = connect path in
+  send busy (envelope ~id:"first" (case 0));
+  send busy (envelope ~id:"second" (case 1));
+  wait_until ~secs:60. "both requests admitted" (fun () -> summary_int t "admitted" = 2);
+  wait_until ~secs:60. "both clients accepted" (fun () -> summary_int t "connections" = 2);
+  let stopped = Atomic.make false in
+  ignore (Thread.create (fun () -> Server.stop t; Atomic.set stopped true) ());
+  Atomic.set gate false;
+  wait_until ~secs:60. "Server.stop returns" (fun () -> Atomic.get stopped);
+  let r1 = recv busy in
+  let r2 = recv busy in
+  check Alcotest.(list string) "admitted requests answered" [ "first"; "second" ]
+    (List.map response_id [ r1; r2 ]);
+  List.iter
+    (fun line ->
+      check Alcotest.bool "answer ok" true
+        (response_field "ok" line = Some (Telemetry.Bool true)))
+    [ r1; r2 ];
+  check Alcotest.bool "idle client sees EOF" true
+    (match recv idle with exception End_of_file -> true | _ -> false);
+  close busy;
+  close idle
+
+let test_run_returns_on_request_stop () =
+  let path = sock_path () in
+  let summary = ref None in
+  let returned = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Server.run ~handle_signals:false
+           (Server.config ~timing:false (`Unix_path path))
+           ~summary:(fun j -> summary := Some j);
+         Atomic.set returned true)
+       ());
+  let rec connect_retry give_up =
+    match connect path with
+    | c -> c
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when Unix.gettimeofday () < give_up ->
+        Thread.delay 0.01;
+        connect_retry give_up
+  in
+  let c = connect_retry (Unix.gettimeofday () +. 60.) in
+  send c (List.hd (corpus_lines ()));
+  let r = recv c in
+  close c;
+  check Alcotest.bool "served while running" true
+    (response_field "ok" r = Some (Telemetry.Bool true));
+  Server.request_stop ();
+  wait_until ~secs:60. "Server.run returns" (fun () -> Atomic.get returned);
+  match !summary with
+  | Some (Telemetry.Obj fields) ->
+      check Alcotest.bool "summary counts the request" true
+        (List.assoc "completed" fields = Telemetry.Int 1)
+  | _ -> Alcotest.fail "run did not hand over an object summary"
 
 let test_latency_summary_guards () =
   (* Percentiles must be null, not a crash, when no request has
@@ -308,8 +428,13 @@ let tests =
     Alcotest.test_case "socket = stdio, byte for byte" `Quick
       test_socket_matches_stdio_bytes;
     Alcotest.test_case "listen address parsing" `Quick test_listen_of_string;
-    Alcotest.test_case "history predicts successor" `Quick
-      test_history_predicts_successor;
+    Alcotest.test_case "bounded line reader" `Quick test_read_line_bounded;
+    Alcotest.test_case "over-long line answered, connection kept" `Quick
+      test_over_long_line;
+    Alcotest.test_case "stop returns with an idle client" `Quick
+      test_stop_with_idle_client;
+    Alcotest.test_case "run returns on request_stop" `Quick
+      test_run_returns_on_request_stop;
     Alcotest.test_case "latency summary on empty samples" `Quick
       test_latency_summary_guards;
   ]

@@ -146,6 +146,57 @@ let qcheck_bounded_matches_brute =
           && r.St_opt.cost = !best)
         [ 1; 2; 3; n ])
 
+let test_exhausted_budget_one_block () =
+  (* Out of time before the first row: the one-block plan, cut off.  A
+     single step has nothing to cut, so it stays exact. *)
+  let trace =
+    Trace.of_lists space4 [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 2; 3 ] ]
+  in
+  let oracle = Interval_cost.of_task_set (Task_split.single trace) in
+  let budget = Hr_util.Budget.of_deadline_ms 0 in
+  let r = St_opt.solve_oracle ~budget oracle ~task:0 in
+  Alcotest.(check (list int)) "one block" [ 0 ] r.St_opt.breaks;
+  check int "one-block cost" (4 + (4 * 6)) r.St_opt.cost;
+  check Alcotest.bool "cut off" true r.St_opt.cut_off;
+  let full = St_opt.solve_oracle oracle ~task:0 in
+  check Alcotest.bool "no budget: not cut off" false full.St_opt.cut_off;
+  check Alcotest.bool "no budget: the plain DP" true
+    (full
+    = St_opt.solve ~v:4 ~n:6 ~step_cost:(fun lo hi ->
+          oracle.Interval_cost.step_cost 0 lo hi));
+  let one = Interval_cost.of_task_set (Task_split.single (Trace.of_lists space4 [ [ 0 ] ])) in
+  check Alcotest.bool "n = 1 is never cut off" false
+    (St_opt.solve_oracle ~budget one ~task:0).St_opt.cut_off
+
+let qcheck_exhausted_budget_registry =
+  (* st-dp and all-task under an already-exhausted budget: a cut-off,
+     inexact, admissible plan whose cost is Problem.eval of its matrix
+     and no better than the unbudgeted answer. *)
+  Tutil.prop "st-dp/all-task cut off by an exhausted budget"
+    (Tutil.gen_mt_instance ~max_m:3 ~max_n:6 ~max_width:4)
+    Tutil.show_mt_instance
+    (fun inst ->
+      List.for_all
+        (fun machine_class ->
+          let problem =
+            Problem.of_task_set ~machine_class (Tutil.task_set_of_instance inst)
+          in
+          List.for_all
+            (fun name ->
+              let solver = Solver_registry.find_exn name in
+              (not (solver.Solver.handles problem))
+              ||
+              let budget = Hr_util.Budget.of_deadline_ms 0 in
+              let cut = Solver.solve ~budget solver problem in
+              let full = Solver.solve solver problem in
+              Problem.admissible problem cut.Solution.bp
+              && Problem.eval problem cut.Solution.bp = cut.Solution.cost
+              && cut.Solution.cost >= full.Solution.cost
+              && cut.Solution.cut_off = (inst.Tutil.n > 1)
+              && ((not cut.Solution.cut_off) || not cut.Solution.exact))
+            [ "st-dp"; "all-task" ])
+        [ Problem.Partial; Problem.All_task ])
+
 let tests =
   [
     Alcotest.test_case "one block when v huge" `Quick test_single_block_when_v_huge;
@@ -158,4 +209,7 @@ let tests =
     qcheck_plan_valid;
     qcheck_dp_no_worse_than_heuristics;
     qcheck_bounded_matches_brute;
+    Alcotest.test_case "exhausted budget: one block" `Quick
+      test_exhausted_budget_one_block;
+    qcheck_exhausted_budget_registry;
   ]
